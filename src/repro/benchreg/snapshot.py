@@ -9,6 +9,7 @@ newest run against the highest committed ``<n>``.
 
 from __future__ import annotations
 
+import json
 import platform
 import re
 import sys
@@ -75,10 +76,27 @@ def _numbered(root: Path) -> Dict[int, Path]:
     return out
 
 
+def _declares_other_kind(path: Path) -> bool:
+    """True for a file whose envelope names a kind other than a snapshot."""
+    try:
+        kind = json.loads(path.read_text(encoding="utf-8")).get("kind")
+    except (OSError, ValueError, AttributeError):
+        return False
+    return kind is not None and kind != SNAPSHOT_KIND
+
+
 def latest_snapshot_path(root: str | Path = ".") -> Optional[Path]:
-    """The highest-numbered ``BENCH_<n>.json`` under ``root``, if any."""
+    """The highest-numbered ``BENCH_<n>.json`` under ``root``, if any.
+
+    Numbered files that declare another document kind (the end-to-end
+    before/after records of ``perfbench/``) share the numbering but are
+    not harness baselines, so they are skipped.
+    """
     found = _numbered(Path(root))
-    return found[max(found)] if found else None
+    for n in sorted(found, reverse=True):
+        if not _declares_other_kind(found[n]):
+            return found[n]
+    return None
 
 
 def next_snapshot_path(root: str | Path = ".") -> Path:

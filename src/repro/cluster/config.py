@@ -85,8 +85,8 @@ class ClusterConfig:
         Wall-seconds per backoff unit (small in tests, larger in
         production runs).
     checkpoint_every:
-        Windows between full state checkpoints; recovery replays at most
-        this many journaled windows.
+        Windows between checkpoints of the service's bounded core;
+        recovery replays at most this many journaled windows.
     on_crash:
         ``"restart"`` (default) restarts from the journal within budget;
         ``"strict"`` raises :class:`~repro.errors.WorkerCrashError` on

@@ -12,8 +12,9 @@ The loop per window is strictly ordered:
 1. inject any chaos event pinned to this ``(worker, window)``
    (kill = ``os._exit`` with no goodbye; stall/delay = ``time.sleep``);
 2. execute the window;
-3. journal it (the durable commit point);
-4. checkpoint every ``checkpoint_every`` windows;
+3. journal it with its ledger delta (the durable commit point);
+4. checkpoint the service's bounded core every ``checkpoint_every``
+   windows;
 5. send the ``cluster_window`` message -- the supervisor's heartbeat.
 
 Because the journal append precedes the send, the supervisor's view can
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ClusterError, ReproError
+from ..io.serialize import dumps_line
 from ..network.registry import network_from_sizes
 from ..service import SchedulingService, ServiceConfig
 from .chaos import ChaosEvent, WorkerDelay, WorkerKill, WorkerStall
@@ -98,18 +100,20 @@ def _accounting(service: SchedulingService) -> Dict[str, int]:
 def _recover(
     service: SchedulingService, journal: WindowJournal, spec: WorkerSpec
 ) -> int:
-    """Restore checkpoint, replay journaled windows, verify digests.
+    """Restore checkpoint and ledger, replay journaled windows, verify.
 
+    The checkpoint holds the service's bounded core; the ledger it
+    leaves out is folded back from the deltas journaled before it.
     Returns the number of windows replayed (journal tail length).  The
     replay re-executes each journaled window deterministically; under
-    ``verify_replay`` a digest mismatch means the rebuild diverged from
-    the incarnation that journaled it -- a determinism bug -- and raises
-    :class:`~repro.errors.ClusterError` rather than silently forking
-    history.
+    ``verify_replay`` a digest or ledger-delta mismatch means the
+    rebuild diverged from the incarnation that journaled it -- a
+    determinism bug -- and raises :class:`~repro.errors.ClusterError`
+    rather than silently forking history.
     """
-    ckpt, tail = journal.load(floor=spec.start_window)
+    ckpt, prefix, tail = journal.load(floor=spec.start_window)
     if ckpt is not None:
-        service.restore_state(ckpt["state"])
+        service.restore_state(ckpt["state"], [r["delta"] for r in prefix])
     elif spec.start_window > 0:
         _fast_forward(service, spec)
     for rec in tail:
@@ -119,15 +123,23 @@ def _recover(
                 f"worker {spec.worker}: journal replay expected window "
                 f"{service.windows_run}, found {window}"
             )
+        marks = service.ledger_marks()
         service.run_window(window)
-        if spec.verify_replay:
-            digest = accounting_digest(_accounting(service))
-            if digest != rec["digest"]:
-                raise ClusterError(
-                    f"worker {spec.worker}: replay of window {window} "
-                    f"diverged from the journal (digest {digest} != "
-                    f"{rec['digest']}); deterministic recovery is broken"
-                )
+        if not spec.verify_replay:
+            continue
+        digest = accounting_digest(_accounting(service))
+        if digest != rec["digest"]:
+            raise ClusterError(
+                f"worker {spec.worker}: replay of window {window} "
+                f"diverged from the journal (digest {digest} != "
+                f"{rec['digest']}); deterministic recovery is broken"
+            )
+        if dumps_line(service.ledger_delta(marks)) != dumps_line(rec["delta"]):
+            raise ClusterError(
+                f"worker {spec.worker}: replay of window {window} "
+                "diverged from the journal (its ledger delta differs); "
+                "deterministic recovery is broken"
+            )
     return len(tail)
 
 
@@ -167,6 +179,7 @@ def worker_main(conn: Any, spec: WorkerSpec) -> None:
             "replayed": replayed,
         }))
         chaos_at = {e.window: e for e in spec.chaos}
+        marks = service.ledger_marks()
         for window in range(service.windows_run, spec.windows):
             event = chaos_at.get(window)
             if isinstance(event, WorkerKill):
@@ -176,7 +189,9 @@ def worker_main(conn: Any, spec: WorkerSpec) -> None:
             service.run_window(window)
             cumulative = _accounting(service)
             digest = accounting_digest(cumulative)
-            journal.append(window, digest, cumulative)
+            delta = service.ledger_delta(marks)
+            marks = service.ledger_marks()
+            journal.append(window, digest, cumulative, delta)
             if (window + 1) % spec.checkpoint_every == 0:
                 journal.checkpoint(window + 1, service.snapshot_state())
             conn.send(encode_message(MSG_WINDOW, {

@@ -10,8 +10,9 @@ dispatches to the same scheduler.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, BinaryIO, Dict
 
 from ..core.instance import Instance
 from ..core.schedule import Schedule
@@ -81,15 +82,43 @@ def dumps_line(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _drop_torn_tail(fh: BinaryIO) -> None:
+    """Truncate an open file to just past its last newline.
+
+    Whatever follows the last newline is a record whose write was cut
+    short by a crash; it never committed, so it is removed before the
+    next record is appended behind it.
+    """
+    end = fh.seek(0, os.SEEK_END)
+    if end == 0:
+        return
+    fh.seek(end - 1)
+    if fh.read(1) == b"\n":
+        return
+    pos = end
+    while pos > 0:
+        start = max(0, pos - 4096)
+        fh.seek(start)
+        cut = fh.read(pos - start).rfind(b"\n")
+        if cut >= 0:
+            fh.truncate(start + cut + 1)
+            return
+        pos = start
+    fh.truncate(0)
+
+
 def append_jsonl(path: str | Path, kind: str, body: Dict[str, Any]) -> None:
     """Append one enveloped record to a JSON-lines file.
 
-    Each line is a complete ``schema_version``/``kind`` envelope; the
-    write is a single ``O_APPEND`` call so concurrent readers never see
-    a torn record.  This is the cluster journal's write-ahead format.
+    Each line is a complete ``schema_version``/``kind`` envelope ending
+    in a newline; the newline is the record's commit point.  A crash
+    mid-write can leave an unterminated final line, so the file is first
+    truncated to its last newline: the new record never lands behind a
+    torn one.  This is the cluster journal's write-ahead format.
     """
-    line = dumps_line(json_payload(kind, body)) + "\n"
-    with open(path, "a", encoding="utf-8") as fh:
+    line = (dumps_line(json_payload(kind, body)) + "\n").encode("utf-8")
+    with open(path, "a+b") as fh:
+        _drop_torn_tail(fh)
         fh.write(line)
         fh.flush()
 
@@ -99,25 +128,29 @@ def read_jsonl(
 ) -> list[Dict[str, Any]]:
     """Read every record body from a JSON-lines file of envelopes.
 
-    A trailing partial line (a write cut short by a crash) is dropped
+    An unterminated final line (a write cut short by a crash) is dropped
     silently -- write-ahead semantics: a record either committed fully
     or does not exist.  Raises :class:`ReproError` on an unreadable
-    file, an unsupported ``schema_version``, or (when ``expected_kind``
-    is given) a kind mismatch on any complete record.
+    file, an undecodable newline-terminated line (corruption a crash
+    cannot explain), an unsupported ``schema_version``, or (when
+    ``expected_kind`` is given) a kind mismatch on any complete record.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ReproError(f"cannot load {path}: {exc}") from exc
+    complete = text[: text.rfind("\n") + 1]
     bodies: list[Dict[str, Any]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(complete.split("\n"), start=1):
         if not line.strip():
             continue
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError:
-            # torn tail record from a mid-append crash: ignore and stop
-            break
+        except json.JSONDecodeError as exc:
+            raise ReproError(
+                f"{path}:{lineno}: corrupt record ({exc.msg}); only an "
+                "unterminated final line can be a torn write"
+            ) from exc
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ReproError(

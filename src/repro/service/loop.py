@@ -45,7 +45,7 @@ decision -- the same bit-parity standard as every other engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -189,7 +189,7 @@ class SchedulingService:
         self._windows_run = 0
         self._released = 0
         self._admitted = 0
-        self._commits: Dict[int, int] = {}  # tid -> global commit time
+        self._commits: List[Tuple[int, int]] = []  # (tid, commit time)
         self._sojourns: List[int] = []
         self._shed: List[Tuple[int, str]] = []
         self._expired: List[Tuple[int, str]] = []
@@ -415,7 +415,7 @@ class SchedulingService:
                     "service.retry_backoff", policy.wait(e.attempts))
 
     def _record_commit(self, entry: _Entry, global_time: int) -> None:
-        self._commits[entry.txn.tid] = global_time
+        self._commits.append((entry.txn.tid, global_time))
         self._sojourns.append(global_time - entry.release)
         if self._rec.enabled:
             self._rec.record(obs_events.CommitEvent(
@@ -597,14 +597,51 @@ class SchedulingService:
         entry.eligible_window = int(state["eligible_window"])  # type: ignore[arg-type]
         return entry
 
-    def snapshot_state(self) -> Dict[str, object]:
-        """JSON-safe snapshot of the service's full mutable state.
+    def _ledger(self) -> Dict[str, list]:
+        """The append-only ledger, by name.
 
-        Together with :meth:`restore_state` this is the cluster worker's
-        checkpoint: a service constructed with the same stream spec,
-        config, and plan, then fed this snapshot, continues bit-for-bit
-        identically (same commits, same report).  Valid only at a window
-        boundary (never mid-``run_window``).
+        ``run_window`` only ever extends these lists, so a window's share
+        of them is a slice past the marks taken before it.
+        """
+        return {
+            "commits": self._commits,
+            "sojourns": self._sojourns,
+            "shed": self._shed,
+            "expired": self._expired,
+            "lost": self._lost,
+            "backlog_curve": self._backlog_curve,
+        }
+
+    def ledger_marks(self) -> Dict[str, int]:
+        """Current length of each ledger list (see :meth:`ledger_delta`)."""
+        return {name: len(entries) for name, entries in self._ledger().items()}
+
+    def ledger_delta(
+        self, marks: Optional[Dict[str, int]] = None
+    ) -> Dict[str, list]:
+        """Ledger entries appended since ``marks`` (all of it by default).
+
+        Marks taken by :meth:`ledger_marks` before a window give that
+        window's delta -- the part of the service's state the cluster
+        journal carries per window instead of in every checkpoint.
+        """
+        return {
+            name: entries[marks[name] if marks else 0:]
+            for name, entries in self._ledger().items()
+        }
+
+    def snapshot_state(self) -> Dict[str, object]:
+        """JSON-safe snapshot of the service's bounded mutable core.
+
+        The core is everything but the append-only ledger (commits,
+        sojourns, shed, expired, lost, backlog curve), so its size does
+        not grow with the windows run; it records the ledger's lengths
+        instead.  Together with :meth:`restore_state` this is the cluster
+        worker's checkpoint: a service constructed with the same stream
+        spec, config, and plan, then fed this snapshot and the ledger's
+        deltas, continues bit-for-bit identically (same commits, same
+        report).  Valid only at a window boundary (never
+        mid-``run_window``).
         """
         return {
             "stream": self.stream.state_dict(),
@@ -618,31 +655,44 @@ class SchedulingService:
             "windows_run": self._windows_run,
             "released": self._released,
             "admitted": self._admitted,
-            "commits": {str(t): c for t, c in self._commits.items()},
-            "sojourns": list(self._sojourns),
-            "shed": [[t, r] for t, r in self._shed],
-            "expired": [[t, r] for t, r in self._expired],
-            "lost": [[t, r] for t, r in self._lost],
             "deferred_admissions": self._deferred_admissions,
             "window_retries": self._window_retries,
-            "backlog_curve": list(self._backlog_curve),
             "shed_windows": self._shed_windows,
             "busy_until": self._busy_until,
             "busy": self._busy,
             "detector": self.detector.state_dict(),
+            "ledger_marks": self.ledger_marks(),
         }
 
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a snapshot taken by :meth:`snapshot_state`.
+    def restore_state(
+        self, state: Dict[str, object], deltas: Iterable[Dict[str, list]]
+    ) -> None:
+        """Restore a :meth:`snapshot_state` core plus its ledger.
 
-        The service must be freshly constructed from the same stream
-        spec, config, and plan as the snapshotting one; raises
-        :class:`~repro.errors.ServiceError` if windows have already run.
+        ``deltas`` are the :meth:`ledger_delta` slices that make up the
+        ledger at the snapshot, in order (one whole ledger is a single
+        delta); they are folded and must add up to the lengths the
+        snapshot recorded.  The service must be freshly constructed from
+        the same stream spec, config, and plan as the snapshotting one;
+        raises :class:`~repro.errors.ServiceError` if windows have
+        already run or the deltas do not match the snapshot.
         """
         if self._windows_run or self._released:
             raise ServiceError(
                 "restore_state() needs a fresh service; this one has "
                 f"already run {self._windows_run} windows"
+            )
+        ledger = self._ledger()
+        for delta in deltas:
+            self._commits.extend((int(t), int(c)) for t, c in delta["commits"])
+            self._sojourns.extend(int(s) for s in delta["sojourns"])
+            for name in ("shed", "expired", "lost"):
+                ledger[name].extend((int(t), str(r)) for t, r in delta[name])
+            self._backlog_curve.extend(int(q) for q in delta["backlog_curve"])
+        if self.ledger_marks() != state["ledger_marks"]:
+            raise ServiceError(
+                f"restore_state(): the folded ledger {self.ledger_marks()} "
+                f"does not match the snapshot's {state['ledger_marks']}"
             )
         self.stream.load_state(state["stream"])  # type: ignore[arg-type]
         self._rng.bit_generator.state = state["rng"]
@@ -655,16 +705,8 @@ class SchedulingService:
         self._windows_run = int(state["windows_run"])  # type: ignore[arg-type]
         self._released = int(state["released"])  # type: ignore[arg-type]
         self._admitted = int(state["admitted"])  # type: ignore[arg-type]
-        self._commits = {
-            int(t): int(c) for t, c in state["commits"].items()  # type: ignore[union-attr]
-        }
-        self._sojourns = [int(s) for s in state["sojourns"]]  # type: ignore[union-attr]
-        self._shed = [(int(t), str(r)) for t, r in state["shed"]]  # type: ignore[union-attr]
-        self._expired = [(int(t), str(r)) for t, r in state["expired"]]  # type: ignore[union-attr]
-        self._lost = [(int(t), str(r)) for t, r in state["lost"]]  # type: ignore[union-attr]
         self._deferred_admissions = int(state["deferred_admissions"])  # type: ignore[arg-type]
         self._window_retries = int(state["window_retries"])  # type: ignore[arg-type]
-        self._backlog_curve = [int(q) for q in state["backlog_curve"]]  # type: ignore[union-attr]
         self._shed_windows = int(state["shed_windows"])  # type: ignore[arg-type]
         self._busy_until = int(state["busy_until"])  # type: ignore[arg-type]
         self._busy = int(state["busy"])  # type: ignore[arg-type]

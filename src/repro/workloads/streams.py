@@ -156,17 +156,18 @@ class ArrivalStream:
     def state_dict(self) -> Dict[str, object]:
         """JSON-safe snapshot of the stream's full mutable state.
 
-        Captures the generator state, the tid/clock cursors, the object
-        homes, and any subclass state, so a stream reconstructed from the
-        same constructor arguments and fed this snapshot via
+        Captures the generator state, the tid/clock cursors, and any
+        subclass state, so a stream reconstructed from the same
+        constructor arguments and fed this snapshot via
         :meth:`load_state` continues the *exact* arrival sequence -- the
         contract the cluster's write-ahead journal recovery relies on.
+        The object homes are drawn by the constructor and never change,
+        so the reconstruction already has them.
         """
         return {
             "rng": self._rng.bit_generator.state,
             "next_tid": self._next_tid,
             "clock": self._clock,
-            "object_homes": {str(o): h for o, h in self.object_homes.items()},
             "extra": self._extra_state(),
         }
 
@@ -180,8 +181,6 @@ class ArrivalStream:
         self._rng.bit_generator.state = state["rng"]
         self._next_tid = int(state["next_tid"])  # type: ignore[arg-type]
         self._clock = int(state["clock"])  # type: ignore[arg-type]
-        homes = state["object_homes"]
-        self.object_homes = {int(o): int(h) for o, h in homes.items()}  # type: ignore[union-attr]
         self._load_extra(state.get("extra", {}))  # type: ignore[arg-type]
 
     def take(self, count: int, max_steps: int = 1_000_000) -> List[TimedTransaction]:

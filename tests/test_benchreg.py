@@ -108,6 +108,16 @@ class TestSnapshotIO:
         assert latest_snapshot_path(tmp_path).name == "BENCH_10.json"
         assert next_snapshot_path(tmp_path).name == "BENCH_11.json"
 
+    def test_other_document_kinds_are_not_baselines(self, tmp_path):
+        (tmp_path / "BENCH_8.json").write_text(json.dumps({
+            "schema_version": 1, "kind": "bench_snapshot", "body": {},
+        }))
+        (tmp_path / "BENCH_12.json").write_text(json.dumps({
+            "schema_version": 1, "kind": "perfbench_comparison", "body": {},
+        }))
+        assert latest_snapshot_path(tmp_path).name == "BENCH_8.json"
+        assert next_snapshot_path(tmp_path).name == "BENCH_13.json"
+
 
 class TestMergeRuns:
     def test_median_votes_out_anomalous_pass(self):

@@ -14,6 +14,8 @@ The headline properties under test:
 from __future__ import annotations
 
 import json
+import multiprocessing as mp
+from dataclasses import replace
 
 import pytest
 
@@ -26,17 +28,21 @@ from repro.cluster import (
     WindowJournal,
     WorkerDelay,
     WorkerKill,
+    WorkerSpec,
     WorkerStall,
     accounting_digest,
     build_network,
     run_cluster,
+    worker_main,
 )
 from repro.cluster.wire import (
     CELL_KIND,
+    MSG_DONE,
     MSG_WINDOW,
     decode_message,
     encode_message,
 )
+from repro.cluster.worker import KILL_EXIT_STATUS
 from repro.errors import (
     ClusterError,
     HeartbeatTimeoutError,
@@ -47,7 +53,7 @@ from repro.errors import (
 from repro.faults.backoff import RetryPolicy
 from repro.errors import TopologyError
 from repro.network import grid, node_shards, shard_cluster
-from repro.service import SchedulingService, ServiceConfig
+from repro.service import SchedulingService, ServiceConfig, ServiceReport
 
 STREAM = StreamSpec(kind="poisson", w=16, k=2, rate=0.6, seed=7)
 # coordinator-shard handoff stream for the shard-cluster runs
@@ -283,7 +289,7 @@ class TestServiceSnapshot:
             a.run_window(w)
         snap = a.snapshot_state()
         b = self._service()
-        b.restore_state(snap)
+        b.restore_state(snap, [a.ledger_delta()])
         for w in range(6, 12):
             a.run_window(w)
             b.run_window(w)
@@ -295,7 +301,7 @@ class TestServiceSnapshot:
         a.run_window(0)
         snap = a.snapshot_state()
         with pytest.raises(ServiceError, match="fresh service"):
-            a.restore_state(snap)
+            a.restore_state(snap, [a.ledger_delta()])
 
     def test_skip_to_window_requires_pristine_service(self):
         a = self._service()
@@ -307,9 +313,11 @@ class TestServiceSnapshot:
         a = self._service()
         for w in range(4):
             a.run_window(w)
-        text = json.dumps(a.snapshot_state())  # raises on non-JSON types
+        # raises on non-JSON types
+        text = json.dumps([a.snapshot_state(), a.ledger_delta()])
+        snap, ledger = json.loads(text)
         b = self._service()
-        b.restore_state(json.loads(text))
+        b.restore_state(snap, [ledger])
         assert b.accounting() == a.accounting()
 
 
@@ -318,55 +326,222 @@ class TestJournal:
         j = WindowJournal(tmp_path / "w.jsonl", tmp_path / "w.ckpt")
         assert not j.has_history()
         for w in range(3):
-            j.append(w, f"d{w}", {"released": w})
-        ckpt, tail = j.load()
-        assert ckpt is None
+            j.append(w, f"d{w}", {"released": w}, {})
+        ckpt, prefix, tail = j.load()
+        assert ckpt is None and prefix == []
         assert [r["window"] for r in tail] == [0, 1, 2]
         assert j.has_history()
 
     def test_checkpoint_floors_the_tail(self, tmp_path):
         j = WindowJournal(tmp_path / "w.jsonl", tmp_path / "w.ckpt")
         for w in range(6):
-            j.append(w, f"d{w}", {"released": w})
+            j.append(w, f"d{w}", {"released": w}, {})
         j.checkpoint(4, {"stream": "state"})
-        ckpt, tail = j.load()
+        ckpt, prefix, tail = j.load()
         assert ckpt["window"] == 4
+        assert [r["window"] for r in prefix] == [0, 1, 2, 3]
         assert [r["window"] for r in tail] == [4, 5]
 
     def test_torn_tail_record_dropped(self, tmp_path):
         j = WindowJournal(tmp_path / "w.jsonl", tmp_path / "w.ckpt")
-        j.append(0, "d0", {"released": 1})
-        j.append(1, "d1", {"released": 2})
+        j.append(0, "d0", {"released": 1}, {})
+        j.append(1, "d1", {"released": 2}, {})
         path = tmp_path / "w.jsonl"
         path.write_bytes(path.read_bytes()[:-9])  # tear the last record
-        _, tail = j.load()
+        _, _, tail = j.load()
         assert [r["window"] for r in tail] == [0]
 
     def test_conflicting_digests_raise(self, tmp_path):
         j = WindowJournal(tmp_path / "w.jsonl", tmp_path / "w.ckpt")
-        j.append(0, "aaaa", {"released": 1})
-        j.append(0, "bbbb", {"released": 2})
+        j.append(0, "aaaa", {"released": 1}, {})
+        j.append(0, "bbbb", {"released": 2}, {})
         with pytest.raises(ClusterError, match="conflicting"):
             j.load()
 
     def test_gap_raises(self, tmp_path):
         j = WindowJournal(tmp_path / "w.jsonl", tmp_path / "w.ckpt")
-        j.append(0, "d0", {"released": 1})
-        j.append(2, "d2", {"released": 3})
+        j.append(0, "d0", {"released": 1}, {})
+        j.append(2, "d2", {"released": 3}, {})
         with pytest.raises(ClusterError, match="gap"):
             j.load()
 
     def test_replacement_floor_accepted(self, tmp_path):
         j = WindowJournal(tmp_path / "w.jsonl", tmp_path / "w.ckpt")
-        j.append(5, "d5", {"released": 1})
-        j.append(6, "d6", {"released": 2})
-        _, tail = j.load(floor=5)
+        j.append(5, "d5", {"released": 1}, {})
+        j.append(6, "d6", {"released": 2}, {})
+        _, _, tail = j.load(floor=5)
         assert [r["window"] for r in tail] == [5, 6]
 
     def test_digest_is_order_insensitive(self):
         a = accounting_digest({"released": 3, "committed": 2})
         b = accounting_digest({"committed": 2, "released": 3})
         assert a == b
+
+    def test_append_after_torn_record_repairs_it(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        j = WindowJournal(path, tmp_path / "w.ckpt")
+        for w in range(4):
+            j.append(w, f"d{w}", {"released": w}, {})
+        path.write_bytes(path.read_bytes()[:-9])  # window 3 torn mid-write
+        restarted = WindowJournal(path, tmp_path / "w.ckpt")
+        for w in range(3, 6):
+            restarted.append(w, f"d{w}", {"released": w}, {})
+        _, _, tail = restarted.load()
+        assert [r["window"] for r in tail] == [0, 1, 2, 3, 4, 5]
+        assert path.read_bytes().count(b"\n") == 6
+
+    def test_corrupt_line_before_the_last_raises(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        j = WindowJournal(path, tmp_path / "w.ckpt")
+        j.append(0, "d0", {"released": 1}, {})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"schema_version": 1, "ki\n')
+        j.append(1, "d1", {"released": 2}, {})
+        with pytest.raises(ClusterError, match="corrupt record"):
+            j.load()
+
+    def test_checkpoint_past_the_journal_raises(self, tmp_path):
+        j = WindowJournal(tmp_path / "w.jsonl", tmp_path / "w.ckpt")
+        for w in range(3):
+            j.append(w, f"d{w}", {"released": w}, {})
+        j.checkpoint(4, {"stream": "state"})
+        with pytest.raises(ClusterError, match="checkpoint is at window 4"):
+            j.load()
+
+
+class _Pipe:
+    """In-process stand-in for a worker's pipe end: decodes what it gets."""
+
+    def __init__(self) -> None:
+        self.sent: list = []
+
+    def send(self, text: str) -> None:
+        self.sent.append(decode_message(text))
+
+    def close(self) -> None:
+        pass
+
+    def done(self) -> dict:
+        kind, body = self.sent[-1]
+        assert kind == MSG_DONE, body
+        return body
+
+
+def _worker_spec(tmp_path, **kw) -> WorkerSpec:
+    defaults = dict(
+        worker=0, shards=2, owned_from={0: 0}, topology="grid", size=3,
+        size2=None, stream=STREAM, service=SVC, windows=14, start_window=0,
+        journal_path=str(tmp_path / "worker-0.journal.jsonl"),
+        checkpoint_path=str(tmp_path / "worker-0.ckpt.json"),
+        checkpoint_every=4,
+    )
+    defaults.update(kw)
+    return WorkerSpec(**defaults)
+
+
+def _killed_then_recovered(spec: WorkerSpec, window: int) -> dict:
+    """Kill a forked worker at ``window``; finish it in-process."""
+    proc = mp.get_context("fork").Process(
+        target=worker_main,
+        args=(_Pipe(), replace(spec, chaos=(WorkerKill(0, window),))),
+    )
+    proc.start()
+    proc.join(60)
+    assert proc.exitcode == KILL_EXIT_STATUS
+    pipe = _Pipe()
+    worker_main(pipe, spec)
+    return pipe.done()
+
+
+def _tamper(path, window: int, **delta) -> None:
+    """Overwrite fields of the ledger delta journaled for ``window``."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[window])
+    record["body"]["delta"].update(delta)
+    lines[window] = json.dumps(record) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+class TestLedgerJournal:
+    """The checkpoint holds the bounded core; the journal holds the ledger."""
+
+    def _fault_free(self, tmp_path, **kw) -> dict:
+        (tmp_path / "ref").mkdir()
+        pipe = _Pipe()
+        worker_main(pipe, _worker_spec(tmp_path / "ref", **kw))
+        return pipe.done()
+
+    def test_checkpoint_size_independent_of_windows_run(self, tmp_path):
+        spec = _worker_spec(tmp_path, windows=256, checkpoint_every=8)
+        sizes = {}
+
+        class Sizing(_Pipe):
+            def send(self, text: str) -> None:
+                super().send(text)
+                kind, body = self.sent[-1]
+                if kind == MSG_WINDOW and body["window"] in (7, 255):
+                    sizes[body["window"]] = (
+                        tmp_path / "worker-0.ckpt.json").stat().st_size
+
+        worker_main(Sizing(), spec)
+        assert sizes[255] <= 1.5 * sizes[7]
+
+    def test_journal_records_carry_the_ledger_delta(self, tmp_path):
+        spec = _worker_spec(tmp_path)
+        pipe = _Pipe()
+        worker_main(pipe, spec)
+        done = pipe.done()
+        _, prefix, tail = WindowJournal(
+            spec.journal_path, spec.checkpoint_path).load()
+        deltas = [r["delta"] for r in prefix + tail]
+        assert len(deltas) == spec.windows
+        commits = [c for d in deltas for c in d["commits"]]
+        sojourns = [s for d in deltas for s in d["sojourns"]]
+        curve = [q for d in deltas for q in d["backlog_curve"]]
+        assert len(commits) == done["accounting"]["committed"]
+        assert sorted(sojourns) == done["sojourns"]
+        assert tuple(curve) == ServiceReport.from_json(
+            done["report"]).backlog_curve
+
+    @pytest.mark.parametrize("window", [8, 13], ids=["after-checkpoint", "last"])
+    def test_kill_recovers_the_full_ledger(self, tmp_path, window):
+        spec = _worker_spec(tmp_path)  # checkpoints every 4 of 14 windows
+        recovered = _killed_then_recovered(spec, window)
+        expected = self._fault_free(tmp_path)
+        assert recovered["report"] == expected["report"]
+        assert recovered["sojourns"] == expected["sojourns"]
+        assert recovered["accounting"] == expected["accounting"]
+        assert recovered["replayed"] == window % spec.checkpoint_every
+
+    def test_replacement_worker_folds_from_its_start_window(self, tmp_path):
+        kw = dict(start_window=5, owned_from={0: 5 * SVC.window})
+        spec = _worker_spec(tmp_path, **kw)
+        recovered = _killed_then_recovered(spec, spec.windows - 1)
+        expected = self._fault_free(tmp_path, **kw)
+        assert recovered["report"] == expected["report"]
+        assert recovered["sojourns"] == expected["sojourns"]
+        assert ServiceReport.from_json(recovered["report"]).windows == 14
+
+    def test_tampered_delta_fails_replay(self, tmp_path):
+        spec = _worker_spec(tmp_path, windows=6)
+        worker_main(_Pipe(), spec)  # checkpoint at 4; windows 4, 5 replay
+        _tamper(tmp_path / "worker-0.journal.jsonl", 5, backlog_curve=[999])
+        pipe = _Pipe()
+        with pytest.raises(SystemExit):
+            worker_main(pipe, spec)
+        kind, body = pipe.sent[-1]
+        assert body["error"] == "ClusterError"
+        assert "ledger delta" in body["message"]
+
+    def test_truncated_prefix_delta_fails_restore(self, tmp_path):
+        spec = _worker_spec(tmp_path, windows=6)
+        worker_main(_Pipe(), spec)
+        # window 2 lies before the checkpoint at 4: folded, not replayed
+        _tamper(tmp_path / "worker-0.journal.jsonl", 2, backlog_curve=[])
+        pipe = _Pipe()
+        with pytest.raises(SystemExit):
+            worker_main(pipe, spec)
+        assert "does not match the snapshot" in pipe.sent[-1][1]["message"]
 
 
 class TestClusterConfig:
