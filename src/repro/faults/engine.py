@@ -158,7 +158,8 @@ def _route_object(
             continue
         if path is None:
             down = plan.down_edges(t)
-            path = path_avoiding(net, pos, dst, down)
+            base = net.shortest_path(pos, dst)
+            path = path_avoiding(net, pos, dst, down, base=base)
             if path is None:
                 attempt += 1
                 if attempt > policy.max_retries:
@@ -171,7 +172,7 @@ def _route_object(
                 _blame_base_blocker(pos, t)
                 t += policy.wait(attempt)
                 continue
-            if down and path != net.shortest_path(pos, dst):
+            if path != base:
                 reroutes += 1
                 _blame_base_blocker(pos, t)
         nxt = path[1]

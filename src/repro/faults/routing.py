@@ -1,13 +1,15 @@
 """Routing around failed links.
 
-Two layers, cheapest first: :func:`path_avoiding` tries the shared detour
-machinery (:func:`repro.sim.reroute.detour_candidates` -- the shortest path
-plus via-an-intermediate-node alternatives) and returns the first candidate
-touching no down link; when every candidate is blocked it falls back to a
-full Dijkstra on the masked adjacency, which is complete: it finds a route
-iff one exists in the degraded graph.  :func:`degraded_network` returns a
-lazy :class:`~repro.network.masked.MaskedNetwork` view without the failed
-edges -- the substrate recovery rescheduling plans against after permanent
+Three layers, cheapest first: :func:`path_avoiding` returns the healthy
+shortest path whenever it touches no down link.  Only a blocked base path
+walks the shared detour machinery (:func:`repro.sim.reroute.iter_detours`
+-- via-an-intermediate-node alternatives, built one at a time) up to the
+first detour touching no down link; when every detour is blocked it falls
+back to a full Dijkstra on the masked adjacency, which is complete: it
+finds a route iff one exists in the degraded graph.
+:func:`degraded_network` returns a lazy
+:class:`~repro.network.masked.MaskedNetwork` view without the failed edges
+-- the substrate recovery rescheduling plans against after permanent
 failures, reusing the healthy network's cached distance rows instead of
 recomputing the all-pairs matrix from scratch.
 """
@@ -22,7 +24,7 @@ from scipy.sparse.csgraph import dijkstra
 from ..errors import GraphError, RecoveryError
 from ..network.graph import Network
 from ..network.masked import masked_csr
-from ..sim.reroute import detour_candidates
+from ..sim.reroute import iter_detours
 
 __all__ = ["path_avoiding", "degraded_network"]
 
@@ -64,19 +66,25 @@ def path_avoiding(
     dst: int,
     down: FrozenSet[Edge],
     max_detours: int = 16,
+    base: Optional[List[int]] = None,
 ) -> Optional[List[int]]:
     """A path from ``src`` to ``dst`` using no link in ``down``.
 
     Prefers the healthy shortest path, then the cheapest detour candidates,
     then a complete masked-graph search.  Returns None iff ``down``
-    disconnects ``dst`` from ``src``.
+    disconnects ``dst`` from ``src``.  ``base`` is the healthy
+    ``net.shortest_path(src, dst)`` when the caller already holds it; the
+    result is ``base`` itself (the same list) whenever no detour was
+    needed.
     """
     if src == dst:
         return [src]
-    if not down:
-        return net.shortest_path(src, dst)
+    if base is None:
+        base = net.shortest_path(src, dst)
+    if not down or not _uses_down(base, down):
+        return base
     slack = 2 * int(net.distance_matrix.max())
-    for path in detour_candidates(net, src, dst, slack, max_detours):
+    for path in iter_detours(net, src, dst, base, slack, max_detours):
         if not _uses_down(path, down):
             return path
     return _masked_path(net, src, dst, down)

@@ -50,7 +50,7 @@ from ..obs.recorder import Recorder, active
 from ..sim.sanitizer import InvariantSanitizer
 from .arrivals import OnlineWorkload, TimedTransaction
 from .report import OnlineDegradationReport
-from .runtime import timestamp_priority
+from .runtime import WaiterHeap, timestamp_priority
 
 __all__ = ["AdmissionControl", "ResilientResult", "run_resilient"]
 
@@ -200,11 +200,7 @@ def run_resilient(
     retries = reroutes = rehomed = deferred_admissions = 0
     t = 1
 
-    def best_requester(obj: int):
-        cands = [txn for txn in pending.values() if obj in txn.objects]
-        if not cands:
-            return None
-        return min(cands, key=lambda txn: prio[txn.tid])
+    waiters = WaiterHeap(prio, pending)
 
     def _backoff(fl: _Flight, now: int) -> None:
         nonlocal retries
@@ -241,13 +237,14 @@ def run_resilient(
             or plan.link_down(pos, fl.path[1], now) is not None
         )
         if stale:
-            down = plan.down_edges(now)
-            path = path_avoiding(net, pos, fl.dest, down)
+            base = net.shortest_path(pos, fl.dest)
+            path = path_avoiding(net, pos, fl.dest, plan.down_edges(now),
+                                 base=base)
             if path is None:
                 fl.path = None
                 _backoff(fl, now)
                 return
-            if down and path != net.shortest_path(pos, fl.dest):
+            if path != base:
                 reroutes += 1
                 if rec.enabled:
                     rec.record(
@@ -341,6 +338,7 @@ def run_resilient(
             )
             rec.count("resilient.admitted")
         pending[txn.tid] = txn
+        waiters.admit(txn)
 
     def _room() -> bool:
         return admission is None or len(pending) < admission.high_water
@@ -437,7 +435,7 @@ def run_resilient(
         for obj in sorted(position):
             if obj in flights or obj in unrecoverable:
                 continue
-            target = best_requester(obj)
+            target = waiters.best(obj)
             if target is None or position[obj] == target.node:
                 continue
             if sanitizer is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,13 @@ from ..obs import events as obs_events
 from ..obs.recorder import Recorder, active
 from .arrivals import OnlineWorkload
 
-__all__ = ["OnlineResult", "run_online", "timestamp_priority", "random_priority"]
+__all__ = [
+    "OnlineResult",
+    "WaiterHeap",
+    "run_online",
+    "timestamp_priority",
+    "random_priority",
+]
 
 
 @dataclass
@@ -60,6 +66,47 @@ class OnlineResult:
     @property
     def max_response(self) -> int:
         return max(self.response_times.values())
+
+
+class WaiterHeap:
+    """Per-object min-heaps of waiting transactions, highest priority first.
+
+    Answers "which pending transaction should ``obj`` travel to?" -- the
+    dispatch rule of both online engines -- without scanning every
+    pending transaction.  A transaction is pushed once per requested
+    object on :meth:`admit`, keyed ``(priority, admission sequence,
+    tid)``: among equal priorities the earliest admitted wins, which is
+    the order a ``min`` over the pending dict's insertion order picks.
+    Entries are never removed eagerly; :meth:`best` pops those whose tid
+    has left ``pending`` (commit, crash, loss) once they reach the top.
+    """
+
+    __slots__ = ("_prio", "_pending", "_heaps", "_seq")
+
+    def __init__(
+        self, prio: Mapping[int, tuple], pending: Mapping[int, object]
+    ) -> None:
+        self._prio = prio
+        self._pending = pending  # the engine's live tid -> Transaction map
+        self._heaps: Dict[int, List[Tuple[tuple, int, int]]] = {}
+        self._seq = 0
+
+    def admit(self, txn) -> None:
+        """Register ``txn`` (just added to ``pending``) as a waiter."""
+        key = (self._prio[txn.tid], self._seq, txn.tid)
+        self._seq += 1
+        for obj in txn.objects:
+            heapq.heappush(self._heaps.setdefault(obj, []), key)
+
+    def best(self, obj: int) -> Optional[object]:
+        """The highest-priority pending transaction requesting ``obj``."""
+        heap = self._heaps.get(obj)
+        while heap:
+            txn = self._pending.get(heap[0][2])
+            if txn is not None:
+                return txn
+            heapq.heappop(heap)
+        return None
 
 
 def timestamp_priority(workload: OnlineWorkload, rng=None) -> Dict[int, tuple]:
@@ -117,11 +164,7 @@ def run_online(
     ai = 0
     t = 1  # commit times are >= 1; release-0 work is picked up at step 1
 
-    def best_requester(obj: int):
-        cands = [txn for txn in pending.values() if obj in txn.objects]
-        if not cands:
-            return None
-        return min(cands, key=lambda txn: prio[txn.tid])
+    waiters = WaiterHeap(prio, pending)
 
     while (ai < len(arrivals)) or pending or in_transit:
         if t > max_steps:
@@ -133,6 +176,7 @@ def run_online(
         while ai < len(arrivals) and arrivals[ai].release <= t:
             txn = arrivals[ai].txn
             pending[txn.tid] = txn
+            waiters.admit(txn)
             ai += 1
         # deliveries
         while in_transit and in_transit[0][0] <= t:
@@ -166,7 +210,7 @@ def run_online(
         for obj in sorted(position):
             if obj in moving:
                 continue
-            target = best_requester(obj)
+            target = waiters.best(obj)
             if target is None or position[obj] == target.node:
                 continue
             if sanitizer is not None:

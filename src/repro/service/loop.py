@@ -45,6 +45,7 @@ decision -- the same bit-parity standard as every other engine.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -92,6 +93,50 @@ class _Entry:
     def priority(self) -> Tuple[int, int]:
         """Timestamp priority: older releases win, tid breaks ties."""
         return (self.release, self.txn.tid)
+
+
+class _PlanSweep:
+    """Sweep line over a plan's windowed events (everything but crashes).
+
+    :meth:`active` answers "which events overlap ``[start, end)``?" for a
+    sequence of spans whose starts never decrease -- the service's
+    ``exec_start``.  The events are sorted by start once; a cursor admits
+    each event when a span first reaches its start, and the live list
+    drops it for good once it ends at or before a span's start, so a span
+    costs O(live events) instead of a rescan of the whole plan.
+    """
+
+    __slots__ = ("_by_start", "_cursor", "_live", "start")
+
+    def __init__(self, plan: FaultPlan) -> None:
+        # plan indices are unique, so the events themselves never compare
+        self._by_start = sorted(
+            (e.start, i, e)
+            for i, e in enumerate(plan.events)
+            if not isinstance(e, NodeCrash)
+        )
+        self._cursor = 0
+        self._live: List[Tuple[int, object]] = []  # (plan index, event)
+        self.start = 0  # the last span's start
+
+    def active(self, start: int, end: int) -> List[object]:
+        """Events overlapping ``[start, end)``, in the plan's own order.
+
+        Plan order matters: it decides ties between overlapping delay
+        spikes, so the slice matches a full rescan event for event.
+        """
+        assert start >= self.start, "span starts must not decrease"
+        self.start = start
+        by_start, cursor = self._by_start, self._cursor
+        while cursor < len(by_start) and by_start[cursor][0] < end:
+            _, i, e = by_start[cursor]
+            bisect.insort(self._live, (i, e), key=lambda item: item[0])
+            cursor += 1
+        self._cursor = cursor
+        self._live = [
+            (i, e) for i, e in self._live if e.end is None or e.end > start
+        ]
+        return [e for _, e in self._live]
 
 
 def _percentile(sorted_values: List[int], q: float) -> float:
@@ -185,6 +230,9 @@ class SchedulingService:
         self._crash_seq: Tuple[NodeCrash, ...] = (
             plan.crash_events if plan is not None else ()
         )
+        # built at the first reactive window that has a batch to run, so
+        # construction costs the same with or without a plan
+        self._sweep: Optional[_PlanSweep] = None
         # accounting
         self._windows_run = 0
         self._released = 0
@@ -329,9 +377,12 @@ class SchedulingService:
             if ev.node not in self._dead:
                 self._dead.add(ev.node)
                 fired.append(ev)
-        for obj, home in sorted(self.stream.object_homes.items()):
-            if home in self._dead:
-                self._unrecoverable.add(obj)
+        if fired:
+            newly_dead = {ev.node for ev in fired}
+            self._unrecoverable.update(
+                obj for obj, home in self.stream.object_homes.items()
+                if home in newly_dead
+            )
         return fired
 
     def _window_plan(
@@ -344,17 +395,19 @@ class SchedulingService:
         the window's runtime sees them live; an event overrunning the
         window simply reappears in the next slice.  ``crashes`` are the
         global crash events this window consumes (fired once each).
+
+        The slice comes from a :class:`_PlanSweep`, so a window costs
+        O(active events) rather than a rescan of the whole plan.  A window
+        starting before the previous one (a caller replaying windows out
+        of order) restarts the sweep.
         """
         if self.plan is None:
             return FaultPlan()
-        span_end = exec_start + self.config.window
+        if self._sweep is None or exec_start < self._sweep.start:
+            self._sweep = _PlanSweep(self.plan)
         events: List[object] = []
-        for e in self.plan.events:
-            if isinstance(e, NodeCrash):
-                continue  # handled via the global crash cursor
+        for e in self._sweep.active(exec_start, exec_start + self.config.window):
             end = e.end
-            if e.start >= span_end or (end is not None and end <= exec_start):
-                continue
             rel_start = max(1, e.start - exec_start)
             rel_end = None if end is None else end - exec_start
             if rel_end is not None and rel_end <= rel_start:

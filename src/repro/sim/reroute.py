@@ -16,14 +16,16 @@ much of the capacity problem smart routing alone absorbs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from ..core.schedule import Schedule
 from ..errors import InfeasibleScheduleError
 
-__all__ = ["ReroutePlan", "detour_candidates", "reroute_for_congestion"]
+__all__ = [
+    "ReroutePlan", "detour_candidates", "iter_detours", "reroute_for_congestion",
+]
 
 Edge = Tuple[int, int]
 
@@ -83,25 +85,23 @@ def _peak_increase(
     return worst
 
 
-def detour_candidates(
-    net, src: int, dst: int, slack: int, max_detours: int = 8
-) -> List[List[int]]:
-    """Candidate paths from ``src`` to ``dst``: shortest path, then detours.
+def iter_detours(
+    net, src: int, dst: int, base_path: List[int], slack: int,
+    max_detours: int = 8,
+) -> Iterator[List[int]]:
+    """Detours from ``src`` to ``dst`` around ``base_path``, lazily.
 
-    Returns the base shortest path first, followed by up to ``max_detours``
-    paths through an intermediate node whose added length does not exceed
-    ``slack``, nearest candidates first (``extra == 0`` captures equal-length
-    alternative shortest paths).  This is the shared detour machinery: the
-    congestion rerouter picks the least-loaded candidate, and the fault
-    engine (:mod:`repro.faults`) picks the first candidate avoiding failed
-    links.
+    Yields up to ``max_detours`` paths through an intermediate node off
+    ``base_path`` whose added length does not exceed ``slack``, nearest
+    candidates first (``extra == 0`` captures equal-length alternative
+    shortest paths).  Each path is built only when the consumer asks for
+    it, so a caller that stops at the first acceptable detour pays for
+    no others.
 
     Vectorized over the distance matrix: the scalar ``dist()`` loop here
     dominated the whole rerouter (profiled in bench_kernels.py).
     """
-    base_path = net.shortest_path(src, dst)
     on_base = set(base_path)
-    candidates = [base_path]
     dmat = net.distance_matrix
     extra = dmat[src] + dmat[:, dst] - dmat[src, dst]
     eligible = np.flatnonzero(extra <= slack)
@@ -111,13 +111,26 @@ def detour_candidates(
         mid = int(mid)
         if mid in on_base:
             continue
-        candidates.append(
-            net.shortest_path(src, mid)[:-1] + net.shortest_path(mid, dst)
-        )
+        yield net.shortest_path(src, mid)[:-1] + net.shortest_path(mid, dst)
         taken += 1
         if taken >= max_detours:
-            break
-    return candidates
+            return
+
+
+def detour_candidates(
+    net, src: int, dst: int, slack: int, max_detours: int = 8
+) -> List[List[int]]:
+    """Candidate paths from ``src`` to ``dst``: shortest path, then detours.
+
+    Returns the base shortest path first, followed by every detour
+    :func:`iter_detours` yields.  This is the shared detour machinery: the
+    congestion rerouter picks the least-loaded candidate, and the fault
+    layer (:func:`repro.faults.routing.path_avoiding`) walks the same
+    detours lazily, stopping at the first one avoiding failed links.
+    """
+    base_path = net.shortest_path(src, dst)
+    return [base_path, *iter_detours(net, src, dst, base_path, slack,
+                                     max_detours)]
 
 
 def reroute_for_congestion(

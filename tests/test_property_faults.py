@@ -9,7 +9,11 @@ detour logic:
 * ``path_avoiding`` returns a valid path that touches no down edge, and
   returns None only when the down set really disconnects the endpoints;
 * a faulty replay against a repairable single-link failure commits every
-  transaction.
+  transaction;
+* the lazy ``path_avoiding`` (base path first, detours built one at a
+  time only when it is blocked) returns exactly the path of the eager
+  loop over the full ``detour_candidates`` list, or of the masked
+  Dijkstra when every candidate is blocked.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from hypothesis import strategies as st
 
 from repro.core import GreedyScheduler, Instance, Transaction
 from repro.faults import FaultPlan, LinkFailure, faulty_execute, path_avoiding
+from repro.faults.routing import _masked_path, _uses_down
+from repro.network import butterfly, grid, hypercube, torus
 from repro.network.graph import Network
 from repro.sim.reroute import detour_candidates
 
@@ -162,3 +168,114 @@ def test_repairable_single_link_failure_commits_everything(inst, pick):
         users = sorted(inst.users(obj), key=lambda t: s.time_of(t.tid))
         realized = [trace.realized_commits[t.tid] for t in users]
         assert realized == sorted(realized)
+
+
+def eager_candidates(net, src, dst, slack, max_detours):
+    """Oracle: the shortest path, then every detour, built up front."""
+    base = net.shortest_path(src, dst)
+    dmat = net.distance_matrix
+    extra = dmat[src] + dmat[:, dst] - dmat[src, dst]
+    eligible = np.flatnonzero(extra <= slack)
+    candidates = [base]
+    for mid in eligible[np.argsort(extra[eligible], kind="stable")]:
+        if int(mid) in base:
+            continue
+        candidates.append(
+            net.shortest_path(src, int(mid))[:-1]
+            + net.shortest_path(int(mid), dst)
+        )
+        if len(candidates) > max_detours:
+            break
+    return candidates
+
+
+def eager_path_avoiding(net, src, dst, down, max_detours=16):
+    """Oracle: the first unblocked eager candidate, else masked Dijkstra."""
+    if src == dst:
+        return [src]
+    if not down:
+        return net.shortest_path(src, dst)
+    slack = 2 * int(net.distance_matrix.max())
+    return next(
+        (
+            p for p in eager_candidates(net, src, dst, slack, max_detours)
+            if not _uses_down(p, down)
+        ),
+        None,
+    ) or _masked_path(net, src, dst, down)
+
+
+def ring(n):
+    return Network(n, [(i, (i + 1) % n, 1) for i in range(n)])
+
+
+_NAMED = [ring(9), grid(4), torus(4), hypercube(4), butterfly(2)]
+
+
+@st.composite
+def routing_cases(draw):
+    """A network, endpoints, and a down set that often blocks the base path."""
+    if draw(st.booleans()):
+        net = draw(st.sampled_from(_NAMED))
+    else:
+        net = draw(networks())
+    src = draw(st.integers(min_value=0, max_value=net.n - 1))
+    dst = draw(st.integers(min_value=0, max_value=net.n - 1))
+    all_edges = sorted((u, v) for u, v, _ in net.edges())
+    down = set(draw(st.sets(st.sampled_from(all_edges), max_size=4)))
+    base = net.shortest_path(src, dst)
+    if len(base) > 1 and draw(st.booleans()):
+        a, b = base[draw(st.integers(min_value=0, max_value=len(base) - 2)):][:2]
+        down.add((min(a, b), max(a, b)))  # block the healthy route
+    max_detours = draw(st.sampled_from([0, 1, 2, 16]))
+    return net, src, dst, frozenset(down), max_detours
+
+
+@given(routing_cases())
+@settings(max_examples=150, deadline=None)
+def test_lazy_path_avoiding_matches_eager_oracle(case):
+    net, src, dst, down, max_detours = case
+    expected = eager_path_avoiding(net, src, dst, down, max_detours)
+    assert path_avoiding(net, src, dst, down, max_detours) == expected
+    base = net.shortest_path(src, dst)
+    assert path_avoiding(net, src, dst, down, max_detours, base=base) == expected
+    slack = 2 * net.diameter()
+    assert detour_candidates(net, src, dst, slack, max_detours) == (
+        eager_candidates(net, src, dst, slack, max_detours)
+    )
+
+
+def test_masked_fallback_when_every_detour_is_blocked():
+    # on a 9-ring with (0,1) down, the one detour allowed goes through
+    # node 2 and so back over (0,1): only the masked search finds 0-8-...-1
+    net = ring(9)
+    down = frozenset({(0, 1)})
+    slack = 2 * net.diameter()
+    candidates = detour_candidates(net, 0, 1, slack, max_detours=1)
+    assert all(_uses_down(p, down) for p in candidates)
+    path = path_avoiding(net, 0, 1, down, max_detours=1)
+    assert path == [0, 8, 7, 6, 5, 4, 3, 2, 1]
+    assert path == eager_path_avoiding(net, 0, 1, down, max_detours=1)
+
+
+def test_unblocked_base_path_builds_no_detours():
+    net = grid(4)
+    calls = []
+    real = net.shortest_path
+
+    def counting(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    net.shortest_path = counting
+    base = real(0, 15)
+    # a down link off the base path leaves it usable: one walk, no detours
+    off = next(
+        (u, v) for u, v, _ in net.edges()
+        if not {u, v} <= set(base)
+    )
+    assert path_avoiding(net, 0, 15, frozenset({off})) == base
+    assert calls == [(0, 15)]
+    calls.clear()
+    assert path_avoiding(net, 0, 15, frozenset({off}), base=base) is base
+    assert calls == []
